@@ -8,7 +8,7 @@ A :class:`RuntimeChecker` hangs off a :class:`~repro.mpi.runtime.Runtime`
   :class:`~repro.mpi.errors.CollectiveMismatchError` carrying both ranks'
   call sites instead of silently folding incompatible deposits.
 * **Deadlock detection** — a wait-for graph over blocked receives and
-  collective barrier slots.  When every non-finished rank is blocked and
+  collective rendezvous crossings.  When every non-finished rank is blocked and
   no pending message or collective completion can wake any of them, the
   run aborts with a :class:`~repro.mpi.errors.DeadlockError` describing
   the cycle, instead of hanging until ``timeout``.
@@ -121,7 +121,7 @@ class RuntimeChecker:
         self._inflight: dict[tuple[int, int], Counter] = {}
         #: (comm trace_id, group rank) -> next collective sequence number
         self._coll_seq: dict[tuple[int, int], int] = {}
-        #: comm trace_id -> total barrier-phase arrivals (generation counter)
+        #: comm trace_id -> total rendezvous-crossing arrivals (generation counter)
         self._coll_arrivals: dict[int, int] = {}
         #: (comm trace_id, seq) -> [op, root, site, world_rank, arrivals]
         self._coll_ops: dict[tuple[int, int], list] = {}
@@ -202,10 +202,11 @@ class RuntimeChecker:
         self._block(wr, wait)
 
     def block_collective(self, state: "_CommState", idx: int, op: str) -> None:
-        """Register a rank about to wait on a collective barrier phase.
+        """Register a rank about to wait on one crossing of a collective's
+        rendezvous (two per collective: entry and exit).
 
-        Arrivals at a communicator's barrier are counted globally: phase
-        generations proceed in lockstep (the barrier itself enforces it),
+        Arrivals at a communicator's rendezvous are counted globally:
+        crossings proceed in lockstep (the rendezvous itself enforces it),
         so arrival ``n`` belongs to generation ``n // size``.  A waiter of
         a fully-arrived generation has been *released* even if its thread
         has not been scheduled to unregister yet — the analyzer must not
@@ -258,7 +259,7 @@ class RuntimeChecker:
         return False
 
     def _collective_can_progress(self, wait: _Wait) -> bool:
-        # The waiter's barrier generation is released once every member has
+        # The waiter's crossing generation is released once every member has
         # arrived at it — whether or not the woken threads ran yet.
         arrivals = self._coll_arrivals.get(wait.state.trace_id, 0)
         return arrivals >= (wait.extra["gen"] + 1) * wait.state.size

@@ -138,26 +138,20 @@ def hss_sort(
         # Sampled probe generation (the "sampling" of HSS); one gathering
         # round merges every rank's proposals into the candidate vector.
         if sampling == "interval":
-            proposals = []
-            for i in act:
-                a = int(np.searchsorted(work, lo_val[i], side="right"))
-                b = int(np.searchsorted(work, hi_val[i], side="left"))
-                if b > a:
-                    take = min(samples_per_round, b - a)
-                    idx = rng.integers(a, b, size=take)
-                    proposals.append(work[idx])
-                else:
-                    proposals.append(work[:0])
+            starts = np.searchsorted(work, lo_val[act], side="right").tolist()
+            stops = np.searchsorted(work, hi_val[act], side="left").tolist()
+            proposals = [
+                work[rng.integers(a, b, size=min(samples_per_round, b - a))]
+                for a, b in zip(starts, stops)
+                if b > a
+            ]
             flat = np.concatenate(proposals) if proposals else work[:0]
         else:
             # Global sampling: draw from the whole partition, keep what
             # lands in any open interval.
             take = min(samples_per_round * max(act.size, 1), int(work.size))
             draw = work[rng.integers(0, work.size, size=take)] if take else work[:0]
-            keep = np.zeros(draw.size, dtype=bool)
-            for i in act:
-                keep |= (draw > lo_val[i]) & (draw < hi_val[i])
-            flat = draw[keep]
+            flat = draw[_in_any_interval(draw, lo_val[act], hi_val[act])]
         gathered = comm.allgather(flat)
         # Two deterministic probe families ride along with the samples:
         # the current interval bounds (duplicate-run boundaries resolve
@@ -166,13 +160,15 @@ def hss_sort(
         # style refinement, whose convergence is fast exactly when the key
         # CDF is locally linear and slow on skewed regions (the source of
         # the volatility the paper observes).
-        interp = np.empty(act.size, dtype=dtype)
-        for j, i in enumerate(act):
-            span = float(hi_rank[i] - lo_rank[i])
-            frac = (float(targets[i] - lo_rank[i]) / span) if span > 0 else 0.5
-            frac = min(max(frac, 0.02), 0.98)
-            val = float(lo_val[i]) + (float(hi_val[i]) - float(lo_val[i])) * frac
-            interp[j] = np.asarray(val).astype(dtype)
+        span = (hi_rank[act] - lo_rank[act]).astype(np.float64)
+        below_t = (targets[act] - lo_rank[act]).astype(np.float64)
+        frac = np.full(act.size, 0.5)
+        np.divide(below_t, span, out=frac, where=span > 0)
+        frac = np.minimum(np.maximum(frac, 0.02), 0.98)
+        lo64 = lo_val[act].astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            interp = lo64 + (hi_val[act].astype(np.float64) - lo64) * frac
+        interp = interp.astype(dtype)
         cand = np.unique(
             np.concatenate([*gathered, lo_val[act], hi_val[act], interp])
         )
@@ -185,29 +181,30 @@ def hss_sort(
         L, U = glob[: cand.size], glob[cand.size :]
         probes_total += int(cand.size)
 
-        for i in act:
-            t = targets[i]
-            # Accept any candidate achieving the target within tolerance.
-            ok = (L <= t + tol) & (U >= t - tol)
-            hit = np.flatnonzero(ok)
-            if hit.size:
-                j = int(hit[0])
-                values[i] = cand[j]
-                lower[i], upper[i] = int(L[j]), int(U[j])
-                realized[i] = int(np.clip(t, L[j], U[j]))
-                active[i] = False
-                continue
-            # Otherwise shrink the interval with the bracketing candidates.
-            below = np.flatnonzero(U < t - tol)
-            if below.size:
-                j = int(below[-1])
-                if cand[j] > lo_val[i]:
-                    lo_val[i], lo_rank[i] = cand[j], int(U[j])
-            above = np.flatnonzero(L > t + tol)
-            if above.size:
-                j = int(above[0])
-                if cand[j] < hi_val[i]:
-                    hi_val[i], hi_rank[i] = cand[j], int(L[j])
+        # Candidates are sorted and unique, so L and U are monotone: the
+        # candidates with L <= t + tol form a prefix [0, a) and those with
+        # U >= t - tol a suffix [b, n).  A target is met by the first
+        # candidate of their overlap (b < a); otherwise the last candidate
+        # below it (b - 1) and the first above it (a) bracket it.
+        if cand.size:
+            t = targets[act]
+            b = np.searchsorted(U, t - tol, side="left")
+            a = np.searchsorted(L, t + tol, side="right")
+            hit = b < a
+            done, first = act[hit], b[hit]
+            values[done] = cand[first]
+            lower[done], upper[done] = L[first], U[first]
+            realized[done] = np.clip(t[hit], L[first], U[first])
+            active[done] = False
+            miss, below_at, above_at = act[~hit], b[~hit] - 1, a[~hit]
+            below = cand[np.maximum(below_at, 0)]
+            up_lo = (below_at >= 0) & (below > lo_val[miss])
+            lo_val[miss[up_lo]] = below[up_lo]
+            lo_rank[miss[up_lo]] = U[below_at[up_lo]]
+            above = cand[np.minimum(above_at, cand.size - 1)]
+            down_hi = (above_at < cand.size) & (above < hi_val[miss])
+            hi_val[miss[down_hi]] = above[down_hi]
+            hi_rank[miss[down_hi]] = L[above_at[down_hi]]
         comm.compute(compute.call_overhead + 2.0e-9 * int(cand.size))
         tracer.record(
             "hss_round",
@@ -228,11 +225,10 @@ def hss_sort(
         l_loc, u_loc = local_histogram(work, probes)
         glob = comm.allreduce(np.concatenate([l_loc, u_loc]))
         L, U = glob[: act.size], glob[act.size :]
-        for j, i in enumerate(act):
-            values[i] = probes[j]
-            lower[i], upper[i] = int(L[j]), int(U[j])
-            realized[i] = int(np.clip(targets[i], L[j], U[j]))
-            active[i] = False
+        values[act] = probes
+        lower[act], upper[act] = L, U
+        realized[act] = np.clip(targets[act], L, U)
+        active[act] = False
 
     timer.mark("splitting")
 
@@ -277,3 +273,17 @@ def hss_sort(
         phases=dict(timer.phases),
         info={"diagnostics": HSSDiagnostics(rounds, probes_total, converged)},
     )
+
+
+def _in_any_interval(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask of the ``x`` lying strictly inside some open interval ``(lo_i, hi_i)``.
+
+    Among the intervals whose ``lo`` lies below ``x`` (a prefix in ``lo``
+    order), ``x`` is covered iff the largest ``hi`` exceeds it.  NaN bounds
+    cover nothing, as with elementwise comparisons: ``np.sort`` puts NaN
+    ``lo`` last and ``fmax`` skips NaN ``hi``.
+    """
+    order = np.argsort(lo, kind="stable")
+    reach = np.fmax.accumulate(hi[order])
+    n_below = np.searchsorted(lo[order], x, side="left")
+    return (n_below > 0) & (reach[np.maximum(n_below, 1) - 1] > x)

@@ -85,7 +85,10 @@ class _ProbeArithmetic:
         self.is_int = self.dtype.kind in "iu"
 
     def midpoint(self, lo, hi):
-        """A probe in the half-open interval ``(lo, hi]`` (== hi at collapse)."""
+        """A probe in the half-open interval ``(lo, hi]`` (== hi at collapse).
+
+        The scalar reference that :meth:`midpoints` reproduces bit for bit.
+        """
         if self.is_int:
             lo_i, hi_i = int(lo), int(hi)
             if hi_i <= lo_i:
@@ -101,6 +104,29 @@ class _ProbeArithmetic:
         if raw > hi:
             raw = self.dtype.type(hi)
         return raw
+
+    def midpoints(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """:meth:`midpoint` over whole bracket arrays, bit for bit.
+
+        Integer brackets subtract in the unsigned view of the same width,
+        where ``hi - lo`` is exact for every ordered pair (even across the
+        int64/uint64 extremes) and ``lo + ceil(d / 2)`` wraps back into
+        range.  Float brackets repeat the scalar steps elementwise: the
+        float64 midpoint (overflowing to inf), the ``nextafter`` step when it
+        rounds onto ``lo``, and the clamp to ``hi``.
+        """
+        open_ = lo < hi
+        if self.is_int:
+            udt = np.dtype(f"u{self.dtype.itemsize}")
+            d = hi.view(udt) - lo.view(udt)
+            mid = (lo.view(udt) + ((d >> 1) + (d & 1))).view(self.dtype)
+            return np.where(open_, mid, hi)
+        lo64 = lo.astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = (lo64 + (hi.astype(np.float64) - lo64) / 2.0).astype(self.dtype)
+            raw = np.where(raw <= lo, np.nextafter(lo, hi), raw)
+        raw = np.where(raw > hi, hi, raw)
+        return np.where(open_, raw, hi)
 
 
 def _regular_sample(local_sorted: np.ndarray, count: int) -> np.ndarray:
@@ -206,25 +232,24 @@ def find_splitters(
     )
     comm.compute(compute.call_overhead)
 
-    lo = [dtype.type(gmin)] * boundaries
-    hi = [dtype.type(gmax)] * boundaries
+    lo = np.full(boundaries, gmin, dtype=dtype)
+    hi = np.full(boundaries, gmax, dtype=dtype)
     values = np.empty(boundaries, dtype=dtype)
     lower = np.zeros(boundaries, dtype=np.int64)
     upper = np.zeros(boundaries, dtype=np.int64)
     realized = np.zeros(boundaries, dtype=np.int64)
-    active = np.ones(boundaries, dtype=bool)
 
-    for i in range(boundaries):
-        if targets[i] - tol <= u_gmin:
-            # Covered by the minimum key's run (includes empty-output ranks).
-            values[i], realized[i] = dtype.type(gmin), int(min(targets[i], u_gmin))
-            lower[i], upper[i] = 0, u_gmin
-            active[i] = False
-        elif targets[i] + tol >= total:
-            values[i] = dtype.type(gmax)
-            realized[i] = int(np.clip(targets[i], l_gmax, total))
-            lower[i], upper[i] = l_gmax, total
-            active[i] = False
+    # Covered by the minimum key's run (includes empty-output ranks) ...
+    low_run = targets - tol <= u_gmin
+    values[low_run] = gmin
+    realized[low_run] = np.minimum(targets[low_run], u_gmin)
+    upper[low_run] = u_gmin
+    # ... or by the maximum key's.
+    high_run = ~low_run & (targets + tol >= total)
+    values[high_run] = gmax
+    realized[high_run] = np.clip(targets[high_run], l_gmax, total)
+    lower[high_run], upper[high_run] = l_gmax, total
+    active = ~(low_run | high_run)
 
     # Optional sampled initial probes (§III-B "optimizing initial guesses").
     first_probes: np.ndarray | None = None
@@ -254,9 +279,7 @@ def find_splitters(
         if rounds == 1 and first_probes is not None:
             probes = np.clip(first_probes, gmin, gmax).astype(dtype)
         else:
-            probes = np.array(
-                [arith.midpoint(lo[i], hi[i]) for i in act_idx], dtype=dtype
-            )
+            probes = arith.midpoints(lo[act_idx], hi[act_idx])
         probes_total += m
 
         # Local histogram by binary search (Algorithm 3 line 7) ...
@@ -273,16 +296,13 @@ def find_splitters(
         too_high = ~ok & (L > t + tol)   # splitter value too large
         too_low = ~ok & ~too_high        # upper bound below target: too small
 
-        for j in np.flatnonzero(ok):
-            i = int(act_idx[j])
-            values[i] = probes[j]
-            lower[i], upper[i] = int(L[j]), int(U[j])
-            realized[i] = int(np.clip(t[j], L[j], U[j]))
-            active[i] = False
-        for j in np.flatnonzero(too_high):
-            hi[int(act_idx[j])] = probes[j]
-        for j in np.flatnonzero(too_low):
-            lo[int(act_idx[j])] = probes[j]
+        done = act_idx[ok]
+        values[done] = probes[ok]
+        lower[done], upper[done] = L[ok], U[ok]
+        realized[done] = np.clip(t[ok], L[ok], U[ok])
+        active[done] = False
+        hi[act_idx[too_high]] = probes[too_high]
+        lo[act_idx[too_low]] = probes[too_low]
 
         if config.cross_probe and active.any():
             _cross_probe_tighten(lo, hi, probes, L, U, targets, tol, active)
@@ -310,8 +330,8 @@ def find_splitters(
 
 
 def _cross_probe_tighten(
-    lo: list,
-    hi: list,
+    lo: np.ndarray,
+    hi: np.ndarray,
     probes: np.ndarray,
     L: np.ndarray,
     U: np.ndarray,
@@ -328,13 +348,13 @@ def _cross_probe_tighten(
     """
     order = np.argsort(probes, kind="stable")
     pv = probes[order]
-    Ls = L[order]
-    Us = U[order]
-    for i in np.flatnonzero(active):
-        t = targets[i]
-        k = int(np.searchsorted(Us, t - tol, side="left")) - 1
-        if k >= 0 and pv[k] > lo[i]:
-            lo[i] = pv[k]
-        j = int(np.searchsorted(Ls, t + tol, side="right"))
-        if j < pv.size and pv[j] < hi[i]:
-            hi[i] = pv[j]
+    open_idx = np.flatnonzero(active)
+    t = targets[open_idx]
+    k = np.searchsorted(U[order], t - tol, side="left") - 1
+    below = pv[np.maximum(k, 0)]
+    raise_lo = (k >= 0) & (below > lo[open_idx])
+    lo[open_idx[raise_lo]] = below[raise_lo]
+    j = np.searchsorted(L[order], t + tol, side="right")
+    above = pv[np.minimum(j, pv.size - 1)]
+    cut_hi = (j < pv.size) & (above < hi[open_idx])
+    hi[open_idx[cut_hi]] = above[cut_hi]

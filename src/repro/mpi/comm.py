@@ -7,14 +7,17 @@ mpi4py's lowercase object interface (``send``/``recv``/``bcast``/``allreduce``
 
 Implementation notes
 --------------------
-Collectives use a deposit / leader / extract protocol around a cyclic
-three-phase barrier:
+Collectives use a deposit / combine / extract protocol around a cyclic
+two-crossing rendezvous (:class:`_Rendezvous`):
 
-1. every rank writes its contribution into its slot and enters barrier A;
-2. the leader (the rank that drew index 0 at barrier A) combines the slots
-   and computes the group's new virtual clocks, then everyone passes B;
-3. every rank reads its result and its new clock, then everyone passes C so
-   the slots may be reused by the next collective.
+1. every rank writes its contribution into its slot and arrives at the
+   entry crossing; the *last* rank to arrive combines the slots and
+   computes the group's new virtual clocks before it releases the others;
+2. every rank reads its result and its new clock, then crosses the exit
+   rendezvous.  The exit crossing is what lets a rank reuse its send buffer
+   as soon as the collective returns (MPI blocking semantics): no peer is
+   still extracting from it, and the slots are free for the next
+   collective.
 
 This is deterministic in values (combines fold in rank order) and matches
 MPI's requirement that all ranks issue collectives in the same order.
@@ -84,6 +87,66 @@ class _Mailbox:
         return None
 
 
+class _Rendezvous:
+    """Cyclic generation-counted rendezvous of ``parties`` threads.
+
+    One condition, one arrival count, one generation number and a single
+    wake-up per crossing.  It exposes the barrier surface that the wait
+    registry and the crash/revoke paths use (``parties``, ``broken``,
+    :meth:`abort`, :class:`threading.BrokenBarrierError`).
+    """
+
+    __slots__ = ("parties", "broken", "_cond", "_count", "_gen")
+
+    def __init__(self, parties: int):
+        self.parties = parties
+        self.broken = False
+        self._cond = threading.Condition(threading.Lock())
+        self._count = 0
+        self._gen = 0
+
+    def wait(self, action: Callable[[], None] | None = None) -> None:
+        """Block until every party has arrived.
+
+        The last arrival runs ``action`` before it releases the others,
+        outside the lock, so the action may itself abort the runtime (which
+        breaks this rendezvous); an action that raises breaks it too.
+        Raises :class:`threading.BrokenBarrierError` if the rendezvous is
+        broken before this generation is released.
+        """
+        cond = self._cond
+        with cond:
+            if self.broken:
+                raise threading.BrokenBarrierError
+            self._count += 1
+            if self._count < self.parties:
+                gen = self._gen
+                while self._gen == gen:
+                    if self.broken:
+                        raise threading.BrokenBarrierError
+                    cond.wait()
+                return
+        if action is not None:
+            try:
+                action()
+            except BaseException:
+                self.abort()
+                raise
+        with cond:
+            if self.broken:
+                raise threading.BrokenBarrierError
+            self._count = 0
+            self._gen += 1
+            cond.notify_all()
+
+    def abort(self) -> None:
+        """Break the rendezvous for good: every current and future waiter
+        raises :class:`threading.BrokenBarrierError`."""
+        with self._cond:
+            self.broken = True
+            self._cond.notify_all()
+
+
 class _CommState:
     """State shared by all ranks of one communicator."""
 
@@ -91,7 +154,9 @@ class _CommState:
         self.runtime = runtime
         self.world_ranks: list[int] = [int(r) for r in world_ranks]
         self.size = len(self.world_ranks)
-        self.barrier = threading.Barrier(self.size)
+        #: the collective rendezvous (named for the barrier surface the
+        #: wait registry and the crash/revoke paths use)
+        self.barrier = _Rendezvous(self.size)
         self.slots: list[Any] = [None] * self.size
         self.cell: Any = None
         self.mailboxes = [_Mailbox() for _ in range(self.size)]
@@ -146,6 +211,12 @@ class _CommState:
                 self._span_level = placement.span_level(self.world_ranks).name.lower()
         return self._span_level
 
+    def release_payloads(self) -> None:
+        """Drop the last collective's deposits and combined cell (called
+        once no rank is inside a collective any more)."""
+        self.slots = [None] * self.size
+        self.cell = None
+
     def abort(self) -> None:
         self.aborted = True
         self.barrier.abort()
@@ -155,9 +226,11 @@ class _CommState:
         with self.ft_cond:
             self.ft_cond.notify_all()
 
-    def _checked_barrier_wait(self, idx: int, op: str) -> int:
-        """``barrier.wait()`` with blocked-rank registration for the wait
-        registry (always) and the runtime checker (when attached)."""
+    def _checked_barrier_wait(
+        self, idx: int, op: str, action: Callable[[], None] | None = None
+    ) -> None:
+        """One rendezvous crossing with blocked-rank registration for the
+        wait registry (always) and the runtime checker (when attached)."""
         rt = self.runtime
         wr = self.world_ranks[idx]
         reg = rt._registry
@@ -165,10 +238,11 @@ class _CommState:
         try:
             chk = rt.checker
             if chk is None:
-                return self.barrier.wait()
+                self.barrier.wait(action)
+                return
             chk.block_collective(self, idx, op)
             try:
-                return self.barrier.wait()
+                self.barrier.wait(action)
             finally:
                 chk.unblock(wr)
         finally:
@@ -210,8 +284,8 @@ class _CommState:
         san = rt.sanitizer
         if san is not None:
             # Deposit edge: snapshot this member's vector clock and pin
-            # weak references to its deposit arrays (stable until barrier
-            # C releases the slots for reuse).
+            # weak references to its deposit arrays (stable until the exit
+            # crossing releases the slots for reuse).
             san.collective_entry(self, idx, deposit, trace_name or "<anonymous>")
         rec = rt.trace
         if rec is not None:
@@ -221,30 +295,32 @@ class _CommState:
             self._seq[idx] = seq + 1
         self.slots[idx] = deposit
         op = trace_name or "<anonymous>"
+
+        def combine() -> None:
+            # Runs on the last arrival with every peer parked at the entry
+            # crossing: entry clocks are still untouched (extract sets the
+            # new ones after the release), so the last arrival's clock is
+            # published for every rank's idle accounting, and the release
+            # orders these writes before the readers below.
+            if rec is not None:
+                self._entry_max = float(rt.clocks[self.world_ranks].max())
+            try:
+                self.cell = leader_fn(self.slots)
+            except BaseException:
+                rt.abort()
+                raise
+
         try:
-            who = self._checked_barrier_wait(idx, op)
-            if who == 0:
-                # Entry clocks are still untouched here (extract sets the
-                # new ones after barrier B), so the leader can publish the
-                # last arrival for every rank's idle accounting; barrier B
-                # orders this write before the readers below.
-                if rec is not None:
-                    self._entry_max = float(rt.clocks[self.world_ranks].max())
-                try:
-                    self.cell = leader_fn(self.slots)
-                except BaseException:
-                    self.runtime.abort()
-                    raise
-            self._checked_barrier_wait(idx, op)
+            self._checked_barrier_wait(idx, op, combine)
             try:
                 out = extract_fn(self.slots, self.cell, idx)
             except BaseException:
-                self.runtime.abort()
+                rt.abort()
                 raise
             if san is not None:
-                # Extraction edge, still before barrier C: every member's
-                # deposit is live here, so the alias check sees the true
-                # sharing relation between this result and peer deposits.
+                # Extraction edge, still before the exit crossing: every
+                # member's deposit is live here, so the alias check sees the
+                # true sharing relation between this result and peer deposits.
                 san.collective_exit(self, idx, out, op)
             self._checked_barrier_wait(idx, op)
         except threading.BrokenBarrierError:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import traceback
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -523,21 +524,35 @@ class Runtime:
         finally:
             threading.stack_size(old_stack)
 
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout)
-            if t.is_alive():
-                blocked = self._registry.describe_blocked()
-                self.abort()
-                t.join(5.0)
-                raise TimeoutError(
-                    f"SPMD run exceeded {timeout}s (thread {t.name}); "
-                    f"per-rank wait states at expiry:\n{blocked}"
-                )
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout)
+                if t.is_alive():
+                    blocked = self._registry.describe_blocked()
+                    self.abort()
+                    t.join(5.0)
+                    raise TimeoutError(
+                        f"SPMD run exceeded {timeout}s (thread {t.name}); "
+                        f"per-rank wait states at expiry:\n{blocked}"
+                    )
+        finally:
+            # ``_states`` and each state's ``runtime`` form a cycle, so the
+            # last collective's deposits (for a sort, the whole exchange)
+            # would otherwise live until a full cyclic collection.
+            with self._registry_lock:
+                states = list(self._states)
+            for state in states:
+                state.release_payloads()
         if failures:
             first = failures[min(failures)]
-            raise SPMDError(failures) from first
+            err = SPMDError(failures)
+            # The summaries are built; drop the rank frames' locals (their
+            # deposits and partitions) that the tracebacks would pin.
+            for exc in failures.values():
+                _clear_frames(exc)
+            raise err from first
         if self._fault_deadlock is not None:
             raise DeadlockError(
                 "no rank can make progress under the fault plan:\n"
@@ -621,6 +636,19 @@ class Runtime:
             from ..sanitize import Sanitizer
 
             self.sanitizer = Sanitizer(self)
+
+
+def _clear_frames(exc: BaseException) -> None:
+    """Clear the frame locals along ``exc``'s traceback and its causes."""
+    seen: set[int] = set()
+    todo: list[BaseException | None] = [exc]
+    while todo:
+        e = todo.pop()
+        if e is None or id(e) in seen:
+            continue
+        seen.add(id(e))
+        traceback.clear_frames(e.__traceback__)
+        todo += [e.__cause__, e.__context__]
 
 
 def run_spmd(

@@ -1,7 +1,7 @@
 """Always-on wait registry + virtual-time timeout arbiter.
 
-Every rank thread registers what it is blocked on (a receive, a barrier
-phase of a collective, or a fault-tolerant rendezvous).  Two consumers:
+Every rank thread registers what it is blocked on (a receive, one crossing
+of a collective's rendezvous, or a fault-tolerant rendezvous).  Two consumers:
 
 * ``Runtime.run(timeout=...)`` expiry reports *which ranks* were blocked
   and on what operation (:meth:`WaitRegistry.describe_blocked`).
@@ -16,7 +16,7 @@ phase of a collective, or a fault-tolerant rendezvous).  Two consumers:
   thread scheduling.
 
 Lock discipline: the registry lock is a leaf for condition variables —
-wait predicates (``can_progress``) only *read* mailbox lists and barrier
+wait predicates (``can_progress``) only *read* mailbox lists and rendezvous
 state, which are stable at quiescence; notifications and aborts happen
 after the registry lock is released, and callers never invoke
 ``block_*`` while holding a mailbox condition.
@@ -25,7 +25,10 @@ after the registry lock is released, and callers never invoke
 from __future__ import annotations
 
 import threading
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .comm import _Rendezvous
 
 RUNNING, BLOCKED, FINISHED, DEAD = range(4)
 
@@ -69,7 +72,7 @@ class WaitRegistry:
         self._state = [RUNNING] * size
         self._waits: list[WaitInfo | None] = [None] * size
         self._nrunning = size
-        # barrier arrival counters (keyed per barrier object) so the
+        # rendezvous arrival counters (keyed per rendezvous object) so the
         # arbiter can tell "release in flight" from "stuck waiting"
         self._arrivals: dict[int, int] = {}
         self._faults_active = False
@@ -112,9 +115,15 @@ class WaitRegistry:
         self._perform(action)
         return w
 
-    def block_barrier(self, rank: int, barrier: threading.Barrier,
+    def block_barrier(self, rank: int, barrier: "_Rendezvous",
                       detail: str) -> WaitInfo:
-        """Mark ``rank`` blocked on (and arrived at) a barrier phase."""
+        """Mark ``rank`` blocked on (and arrived at) one crossing of a
+        collective's rendezvous.
+
+        Every member arrives once per crossing, so arrival ``n`` belongs to
+        generation ``n // parties``; the wait can progress once that
+        generation is fully arrived (its release may still be in flight) or
+        the rendezvous is broken."""
         key = id(barrier)
         with self._lock:
             n = self._arrivals.get(key, 0)

@@ -82,7 +82,7 @@ class Sanitizer:
     All state lives behind one lock; every hook is called with no runtime
     lock held (send hooks run before the mailbox append, receive hooks
     after the message left the mailbox, collective hooks outside the
-    barrier waits), so the lock is a leaf and cannot deadlock.
+    rendezvous waits), so the lock is a leaf and cannot deadlock.
     """
 
     def __init__(self, runtime: "Runtime"):
@@ -226,9 +226,9 @@ class Sanitizer:
     def collective_entry(
         self, state: "_CommState", idx: int, deposit: Any, op: str
     ) -> None:
-        """Deposit edge (before barrier A): snapshot the member's clock and
-        keep weak references to its deposit arrays for the exit-side
-        alias check."""
+        """Deposit edge (before the entry crossing): snapshot the member's
+        clock and keep weak references to its deposit arrays for the
+        exit-side alias check."""
         arrays = list(iter_arrays(deposit))
         refs = [ref for ref, _ in payload_fingerprints(deposit, iter_arrays)]
         wr = state.world_ranks[idx]
@@ -248,10 +248,10 @@ class Sanitizer:
     def collective_exit(
         self, state: "_CommState", idx: int, out: Any, op: str
     ) -> None:
-        """Extraction edge (after barrier B, before the slots are reused):
-        join every member's entry clock — a collective is a full
-        synchronization — and alias-check this member's result against the
-        other members' live deposits."""
+        """Extraction edge (between the entry and exit crossings, while the
+        slots are stable): join every member's entry clock — a collective
+        is a full synchronization — and alias-check this member's result
+        against the other members' live deposits."""
         extracted = list(iter_arrays(out))
         wr = state.world_ranks[idx]
         gen = self._coll_gen[(state.trace_id, idx)] - 1

@@ -12,9 +12,9 @@ Thread-safety
 Ranks are concurrent threads, so the recorder keeps **one span list per
 rank** and every rank appends only to its own list — no locking on the hot
 path.  The only cross-thread value is the collective entry-maximum written
-by the collective leader between two barriers (see
-:meth:`repro.mpi.comm._CommState.collective`), whose visibility those
-barriers already order.
+by the last arrival at a collective's entry crossing (see
+:meth:`repro.mpi.comm._CommState.collective`), whose visibility that
+crossing's release already orders.
 
 Zero cost when disabled
 -----------------------

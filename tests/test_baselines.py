@@ -1,5 +1,7 @@
 """Correctness and behavioural tests of the baseline sorters."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.baselines import (
 from repro.data import make_partition
 from repro.mpi import SPMDError
 from repro.seq import is_globally_sorted, is_permutation
+from tests.conftest import spmd
 
 
 def _run_baseline(run, algo, parts, **kwargs):
@@ -119,6 +122,70 @@ class TestHss:
         out = _run_baseline(run, hss_sort, parts, eps=0.1)
         outs = [r.output for r in out]
         assert is_globally_sorted(outs) and is_permutation(parts, outs)
+
+
+def _hss_parts(dist, p, n, seed):
+    if dist not in ("special_f64", "nan_rank0_f64"):
+        return [make_partition(dist, n + 17 * r, rank=r, seed=seed) for r in range(p)]
+    parts = [make_partition("normal_f64", n + 17 * r, rank=r, seed=seed) for r in range(p)]
+    if dist == "nan_rank0_f64":
+        # rank 0's NaN becomes the global max: no candidate survives the
+        # [gmin, gmax] filter, so every round histograms an empty vector
+        parts[0][0] = np.nan
+        return parts
+    big = np.finfo(np.float64).max
+    parts[1][:5] = [np.inf, -np.inf, np.nan, big, -big]
+    return parts
+
+
+def _hss_fingerprint(dist, p, n, seed, sampling, eps, max_rounds):
+    """(rounds, probes_total, converged, digest of every rank's output)."""
+    parts = _hss_parts(dist, p, n, seed)
+    out = _run_baseline(spmd, hss_sort, parts, eps=eps, seed=seed,
+                        sampling=sampling, max_rounds=max_rounds)
+    h = hashlib.sha256()
+    for r in out:
+        h.update(np.int64(r.output.size).tobytes())
+        h.update(r.output.tobytes())
+    d = out[0].info["diagnostics"]
+    return d.rounds, d.probes_total, d.converged, h.hexdigest()[:16]
+
+
+#: HSS outcomes recorded with the per-boundary Python refinement loops; the
+#: vectorized refinement must reproduce them exactly (same RNG draw order)
+_HSS_GOLDEN = [
+    # (dist, p, n, seed, sampling, eps, max_rounds,
+    #  (rounds, probes_total, converged, digest))
+    ('uniform_u64', 3, 400, 1, 'global', 0.0, 128, (3, 80, True, '265181556d6aeb04')),
+    ('uniform_u64', 8, 300, 2, 'interval', 0.0, 128, (2, 628, True, '4ff53d2a5d191d2d')),
+    ('uniform_u64', 13, 200, 3, 'global', 0.1, 128, (1, 1481, True, 'e0515c7d82866d41')),
+    ('normal_f64', 8, 300, 1, 'global', 0.0, 128, (6, 649, True, '3c4e2df4c7ccdfa8')),
+    ('normal_f64', 8, 300, 9, 'global', 0.0, 2, (2, 631, False, '8cd938c8105eca2b')),
+    ('normal_f64', 5, 300, 4, 'interval', 0.05, 128, (2, 256, True, '9918259106c264bc')),
+    ('normal_f32', 8, 250, 5, 'global', 0.1, 128, (1, 590, True, '43e6097702fa6578')),
+    ('duplicates_i64', 8, 300, 1, 'global', 0.0, 128, (1, 10, True, '15617053cc260f6d')),
+    ('duplicates_i64', 6, 300, 2, 'interval', 0.0, 128, (1, 10, True, 'a139a00b097615c0')),
+    ('zipf_u64', 8, 300, 3, 'global', 0.0, 128, (1, 50, True, '31153736873d6b8e')),
+    ('zipf_u64', 16, 150, 4, 'interval', 0.1, 128, (1, 142, True, '6d28cd863a2ea0f8')),
+    ('exponential_f64', 11, 200, 6, 'global', 0.0, 128, (6, 1143, True, '133286e4c209634d')),
+    ('exponential_f64', 11, 200, 6, 'interval', 0.0, 3, (2, 1150, True, '133286e4c209634d')),
+    ('nearly_sorted_i64', 7, 300, 7, 'interval', 0.0, 128, (2, 490, True, '23dac8d83f53ea35')),
+    ('all_equal_i64', 4, 100, 1, 'global', 0.0, 128, (1, 1, True, 'a28ce4e9d45a1762')),
+    ('special_f64', 6, 200, 2, 'global', 0.0, 128, (2, 332, True, '8a4d67a24bb269d3')),
+    ('special_f64', 6, 200, 3, 'interval', 0.0, 128, (2, 349, True, 'fd67f52716ca6691')),
+    ('nan_rank0_f64', 4, 100, 1, 'global', 0.0, 12, (12, 0, False, '9c5b347f30424256')),
+    ('nan_rank0_f64', 4, 100, 2, 'interval', 0.0, 12, (12, 0, False, '5ef5151f8cd4b4e3')),
+]
+
+
+class TestHssGolden:
+    @pytest.mark.parametrize(
+        "dist,p,n,seed,sampling,eps,max_rounds,expected",
+        _HSS_GOLDEN,
+        ids=[f"{c[0]}-p{c[1]}-{c[4]}-eps{c[5]}-r{c[6]}" for c in _HSS_GOLDEN],
+    )
+    def test_unchanged(self, dist, p, n, seed, sampling, eps, max_rounds, expected):
+        assert _hss_fingerprint(dist, p, n, seed, sampling, eps, max_rounds) == expected
 
 
 class TestHypercubeFamily:

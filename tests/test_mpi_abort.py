@@ -11,10 +11,14 @@ timeout so a regression shows up as a failure, not a hung test run.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro.mpi import SPMDError
+from repro.faults import CrashEvent, FaultPlan, FaultSpec
+from repro.mpi import RankFailedError, ReduceOp, SPMDError
 from tests.conftest import spmd
 
 WALL = 60.0  # generous wall-clock backstop: failure mode is a hang
@@ -99,3 +103,81 @@ def test_surviving_ranks_do_not_report_phantom_failures():
         spmd(3, prog, timeout=WALL)
     _assert_only_rank_failed(excinfo, 0)
     assert "rank 0: Boom: primary failure" in str(excinfo.value)
+
+
+# ------------------------------------------------- the collective rendezvous
+#
+# Collectives cross a two-step rendezvous: the last arrival combines the
+# deposits before releasing the entry crossing, and an exit crossing keeps
+# deposits alive until every member has extracted.  An abort or crash may
+# land while peers are parked in either crossing.
+
+
+def test_peer_abort_while_peers_parked_in_collective():
+    def prog(comm):
+        if comm.rank == 2:
+            time.sleep(0.05)  # let the peers park in the allreduce first
+            raise Boom("rank 2 dies while its peers wait")
+        comm.allreduce(np.arange(8))  # spmd: ignore[DIV-COLLECTIVE]
+        return "unreachable"
+
+    with pytest.raises(SPMDError) as excinfo:
+        spmd(6, prog, timeout=WALL)
+    _assert_only_rank_failed(excinfo, 2)
+
+
+def test_peer_crash_while_peers_parked_in_collective():
+    def prog(comm):
+        comm.barrier()
+        try:
+            comm.allreduce(comm.rank)  # rank 1 is killed on entry
+        except RankFailedError as exc:
+            return sorted(exc.failed)
+        return "unreachable"
+
+    plan = FaultPlan(
+        FaultSpec(crashes=(CrashEvent(rank=1, at_op=1),)), seed=1, size=4
+    )
+    results = spmd(4, prog, faults=plan, timeout=WALL)
+    assert results == [[1], None, [1], [1]]
+
+
+def test_raising_combine_aborts_and_surfaces_original():
+    def combine(a, b):
+        raise Boom("combine failed")
+
+    def prog(comm):
+        comm.allreduce(comm.rank, op=ReduceOp("boom", combine))
+        return "unreachable"
+
+    with pytest.raises(SPMDError) as excinfo:
+        spmd(4, prog, timeout=WALL)
+    err = excinfo.value
+    # Whichever rank arrived last ran the combine; it alone reports, and
+    # every peer is a secondary (Aborted) casualty.
+    assert len(err.failures) == 1
+    (exc,) = err.failures.values()
+    assert isinstance(exc, Boom)
+    assert err.__cause__ is exc
+
+
+class _CopyBomb:
+    """Payload whose copy fails on one rank's thread only."""
+
+    def __init__(self, victim: str):
+        self.victim = victim
+
+    def __deepcopy__(self, memo):
+        if threading.current_thread().name == self.victim:
+            raise Boom("copy failed at extraction")
+        return _CopyBomb(self.victim)
+
+
+def test_raising_extract_releases_peers_at_exit_crossing():
+    def prog(comm):
+        comm.allgather(_CopyBomb("rank-3"))
+        return "unreachable"
+
+    with pytest.raises(SPMDError) as excinfo:
+        spmd(4, prog, timeout=WALL)
+    _assert_only_rank_failed(excinfo, 3)

@@ -1,9 +1,15 @@
 """Collective semantics of the SPMD runtime."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.mpi import MAX, MIN, PROD, SUM, CommunicatorError, SPMDError, run_spmd
+from repro.mpi.comm import _Rendezvous
 
 
 class TestBcast:
@@ -218,3 +224,149 @@ class TestStats:
         assert summary["msgs_sent"] == 1
         assert summary["bytes_sent"] == 64
         assert "allreduce" in summary["collectives"]
+
+
+class TestRendezvous:
+    def test_rendezvous_stress_with_short_switch_interval(self):
+        # More threads than cores, preempted every few microseconds: each
+        # generation's action must see every party's arrival, run exactly
+        # once, and happen before any party leaves the crossing.
+        parties, rounds = 12, 300
+        rdv = _Rendezvous(parties)
+        arrived = [0] * parties
+        actions = []
+        errors = []
+
+        def action():
+            actions.append(min(arrived) == max(arrived) == len(actions) + 1)
+
+        def worker(i):
+            try:
+                for k in range(1, rounds + 1):
+                    arrived[i] = k
+                    rdv.wait(action)
+                    if len(actions) < k:
+                        errors.append((i, k))
+            except BaseException as exc:  # surfaced by the assertions below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(parties)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert actions == [True] * rounds
+
+    def test_send_buffer_reuse_after_return(self, run):
+        # MPI blocking semantics: once a collective returns, the caller owns
+        # its send buffers again.  Overwriting them at once must never reach
+        # a peer that is still extracting (the exit crossing forbids it).
+        def prog(comm):
+            wrong = 0
+            for k in range(40):
+                mine = np.full(64, comm.rank * 1000 + k, dtype=np.int64)
+                got = comm.allgather(mine)
+                mine[:] = -1
+                chunks = [np.full(16, comm.rank * 1000 + k, dtype=np.int64)
+                          for _ in range(comm.size)]
+                recv = comm.alltoallv(chunks)
+                for c in chunks:
+                    c[:] = -1
+                for src in range(comm.size):
+                    wrong += int((got[src] != src * 1000 + k).sum())
+                    wrong += int((recv[src] != src * 1000 + k).sum())
+            return wrong
+
+        assert run(8, prog) == [0] * 8
+
+    def test_back_to_back_mixed_collectives_p56(self, run):
+        p, steps = 56, 1000
+
+        def step(comm, k):
+            r = comm.rank
+            kind = k % 6
+            if kind == 0:
+                return int(comm.allreduce(np.array([r + k, 1]))[0])
+            if kind == 1:
+                return sum(comm.allgather(r * k))
+            if kind == 2:
+                return comm.bcast(7 * k if r == k % p else None, root=k % p)
+            if kind == 3:
+                chunks = [np.full(1 + (d + k) % 3, 1000 * r + d, dtype=np.int64)
+                          for d in range(p)]
+                got = comm.alltoallv(chunks)
+                return sum(int(c.sum()) for c in got)
+            if kind == 4:
+                return comm.scan(r + k)
+            return comm.exscan(r + k) or 0
+
+        def reference(r, k):
+            kind = k % 6
+            if kind == 0:
+                return p * k + p * (p - 1) // 2
+            if kind == 1:
+                return k * p * (p - 1) // 2
+            if kind == 2:
+                return 7 * k
+            if kind == 3:
+                return sum((1 + (r + k) % 3) * (1000 * src + r) for src in range(p))
+            if kind == 4:
+                return sum(q + k for q in range(r + 1))
+            return sum(q + k for q in range(r))
+
+        def prog(comm):
+            return [step(comm, k) for k in range(steps)]
+
+        out = run(p, prog)
+        for r in range(p):
+            assert out[r] == [reference(r, k) for k in range(steps)], f"rank {r}"
+
+    def test_last_collective_deposits_freed_without_gc(self):
+        # The runtime and its communicator states form a reference cycle;
+        # the deposits of the last collective must not ride on it until a
+        # cyclic collection.
+        refs = {}
+
+        def prog(comm):
+            chunks = [np.full(1000, comm.rank, dtype=np.int64)
+                      for _ in range(comm.size)]
+            refs[comm.rank] = weakref.ref(chunks[0])
+            comm.alltoallv(chunks)
+
+        gc.disable()
+        try:
+            run_spmd(4, prog)
+            assert all(ref() is None for ref in refs.values())
+        finally:
+            gc.enable()
+
+    def test_failed_rank_frames_freed_without_gc(self):
+        # A stored per-rank exception must not pin its frames' locals (here
+        # the deposit it just exchanged) once SPMDError is built.
+        refs = {}
+
+        def prog(comm):
+            chunks = [np.full(1000, comm.rank, dtype=np.int64)
+                      for _ in range(comm.size)]
+            refs[comm.rank] = weakref.ref(chunks[0])
+            comm.alltoallv(chunks)
+            if comm.rank == 1:
+                raise ValueError("after the exchange")
+
+        gc.disable()
+        try:
+            with pytest.raises(SPMDError) as excinfo:
+                run_spmd(4, prog)
+            assert "rank 1: ValueError: after the exchange" in str(excinfo.value)
+            del excinfo
+            assert all(ref() is None for ref in refs.values())
+        finally:
+            gc.enable()
